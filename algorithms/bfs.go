@@ -211,12 +211,6 @@ func BFS(a *graphblas.Matrix[bool], source int, opt BFSOptions) (BFSResult, erro
 		}
 	}
 
-	planner := graphblas.NewPlanner(a, true, opt.SwitchPoint).WithModel(opt.Model)
-	if !opt.DisableOperandReuse {
-		// With operand reuse the pull kernel probes the word-packed visited
-		// set, so a calibrated model prices pull probes at the bitset rate.
-		planner.SetPullProbeKind(core.KindBitset)
-	}
 	dir := core.Push
 	depth := int32(0)
 	// Depths shares its backing array with the depth bookkeeping below, so
@@ -239,6 +233,14 @@ func BFS(a *graphblas.Matrix[bool], source int, opt BFSOptions) (BFSResult, erro
 		Merge:         opt.Merge,
 		Workspace:     ws,
 		Context:       opt.Context,
+	}
+	// The planner prices pull with the early exit the kernel will take
+	// under desc (none with DisableStructureOnly or DisableEarlyExit).
+	planner := graphblas.NewPlanner(a, true, opt.SwitchPoint).WithModel(opt.Model).WithEarlyExit(desc, sr)
+	if !opt.DisableOperandReuse {
+		// With operand reuse the pull kernel probes the word-packed visited
+		// set, so a calibrated model prices pull probes at the bitset rate.
+		planner.SetPullProbeKind(core.KindBitset)
 	}
 	// Sharded execution: per-level matvecs split into edge-balanced
 	// destination ranges, each planned (and corrected) independently. The
@@ -285,13 +287,19 @@ func BFS(a *graphblas.Matrix[bool], source int, opt BFSOptions) (BFSResult, erro
 			planned = true
 			// Plan the direction: exact frontier out-degrees when f is
 			// sparse (read off CSC.Ptr in O(nnz(f))), the nnz·d̄ estimate
-			// otherwise, against pull's unvisited-row count.
+			// otherwise, against pull's unvisited-row count, each row
+			// probing the pull operand: the visited set with operand
+			// reuse, the frontier without.
 			frontierInd, _ := f.SparseIndices()
 			maskAllowed := -1
 			if !opt.DisableMasking {
 				maskAllowed = n - res.Visited
 			}
-			plan = planner.Plan(frontierInd, f.NVals(), maskAllowed)
+			pullNVals := f.NVals()
+			if !opt.DisableOperandReuse {
+				pullNVals = res.Visited
+			}
+			plan = planner.Plan(frontierInd, f.NVals(), maskAllowed, pullNVals)
 			dir = plan.Dir
 		}
 

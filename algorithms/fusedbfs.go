@@ -118,8 +118,10 @@ func FusedBFSWithContext(ctx context.Context, a *graphblas.Matrix[bool], source 
 			AvgDeg:        avgDeg,
 			MaskAllowFrac: float64(n-res.Visited) / float64(n),
 			SwitchPoint:   switchPoint,
-			// The fused pull probes the word-packed visited set.
-			InKind: core.KindBitset,
+			// The fused pull probes the word-packed visited set and stops
+			// at a row's first visited parent, exactly as BFS's pull does.
+			PullPop: res.Visited,
+			InKind:  core.KindBitset,
 		}
 		if model != nil {
 			in.Model = *model

@@ -174,3 +174,41 @@ func TestMxVPlanDescriptorSink(t *testing.T) {
 		t.Fatalf("plan sink incomplete: %+v", plan)
 	}
 }
+
+// TestBFSPullPriceFollowsKernelConfig: BFS's planner prices each pull row
+// against the operand the pull kernel will probe — the visited set with
+// operand reuse, the frontier without — and only when that kernel stops at
+// a row's first hit; DisableEarlyExit and DisableStructureOnly price whole
+// rows.
+func TestBFSPullPriceFollowsKernelConfig(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	n := 2000
+	a := randUndirected(rng, n, 0.01)
+	d := core.AvgRowDegree(a.NVals(), n)
+	for _, c := range []struct {
+		name string
+		opt  BFSOptions
+		pop  func(visited, frontier int) int
+	}{
+		{"default", BFSOptions{}, func(v, _ int) int { return v }},
+		{"no-operand-reuse", BFSOptions{DisableOperandReuse: true}, func(_, f int) int { return f }},
+		{"no-early-exit", BFSOptions{DisableEarlyExit: true}, func(int, int) int { return 0 }},
+		{"no-structure-only", BFSOptions{DisableStructureOnly: true}, func(int, int) int { return 0 }},
+	} {
+		allowed, frontier, levels := n-1, 1, 0
+		c.opt.Trace = func(s IterStats) {
+			want := float64(n) * core.PullProbes(d, n, c.pop(n-allowed, frontier)) * (float64(allowed) / float64(n))
+			if s.PullCost != want {
+				t.Errorf("%s level %d: pull cost %v, want %v", c.name, s.Iteration, s.PullCost, want)
+			}
+			allowed, frontier = s.UnvisitedNNZ, s.FrontierNNZ
+			levels++
+		}
+		if _, err := BFS(a, 0, c.opt); err != nil {
+			t.Fatal(err)
+		}
+		if levels < 3 {
+			t.Fatalf("%s: only %d levels traced", c.name, levels)
+		}
+	}
+}

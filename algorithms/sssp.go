@@ -131,7 +131,7 @@ func SSSP(a *graphblas.Matrix[float64], source int, opt SSSPOptions) ([]float64,
 			// 2-phase: once pull, stay pull (the SSSP workfront does not
 			// shrink back the way BFS's does).
 			activeInd, _ := active.SparseIndices()
-			plan = planner.Plan(activeInd, active.NVals(), -1)
+			plan = planner.Plan(activeInd, active.NVals(), -1, active.NVals())
 			dir = plan.Dir
 			planned = true
 		}

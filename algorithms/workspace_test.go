@@ -109,7 +109,7 @@ func TestBFSIterationSteadyStateAllocs(t *testing.T) {
 	defer ws.Release()
 	desc := &graphblas.Descriptor{Transpose: true, StructureOnly: true, StructuralComplement: true, Workspace: ws}
 	out := graphblas.NewVector[bool](n)
-	planner := graphblas.NewPlanner(a, true, 0)
+	planner := graphblas.NewPlanner(a, true, 0).WithEarlyExit(desc, sr)
 
 	for _, dirCase := range []struct {
 		name string
@@ -117,7 +117,7 @@ func TestBFSIterationSteadyStateAllocs(t *testing.T) {
 	}{{"push", graphblas.ForcePush}, {"pull", graphblas.ForcePull}} {
 		iteration := func() {
 			frontierInd, _ := f.SparseIndices()
-			planner.Plan(frontierInd, f.NVals(), len(unvisited))
+			planner.Plan(frontierInd, f.NVals(), len(unvisited), visited.NVals())
 			desc.Direction = dirCase.dir
 			if dirCase.dir == graphblas.ForcePull {
 				desc.MaskAllowList = unvisited

@@ -61,8 +61,12 @@
 // conversion. Under Descriptor.Direction == Auto it compares
 //
 //	push cost ≈ Σ_{i∈frontier} outdeg(i) · log₂ nnz(f)   (read off CSC.Ptr)
-//	pull cost ≈ rows · avg-degree · effective-mask density
+//	pull cost ≈ rows · min(d̄, n/nnz(u)) · effective-mask density
 //
+// where d̄ is the average row degree. A pull that stops at a row's first
+// hit (StructureOnly, early exit on, a semiring with a Terminal) finds one
+// after about n/nnz(u) probes, so its rows cost min(d̄, n/nnz(u)); any other
+// pull scans whole rows at d̄.
 // with hysteresis on the frontier trend (grow to switch into pull, shrink
 // to switch back). When the plan estimates a push output dense enough that
 // the radix sort would dominate, the push kernel scatters straight into

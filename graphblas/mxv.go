@@ -23,8 +23,9 @@ import (
 // Direction optimization happens here. With Descriptor.Direction == Auto,
 // a standalone planner compares the estimated push cost (sum of frontier
 // out-degrees read off CSC.Ptr, times the merge's log factor) against the
-// estimated pull cost (rows × average degree, discounted by the effective
-// mask density), with hysteresis on the frontier trend; u's storage format
+// estimated pull cost (rows × probes per row, discounted by the effective
+// mask density; a row costs the average degree, or min(average degree,
+// n/nnz(u)) when the pull stops at its first hit), with hysteresis on the frontier trend; u's storage format
 // then follows the chosen direction. Descriptor.SwitchPoint selects the
 // legacy nnz/n ratio rule instead, and ForcePush/ForcePull pin the kernel
 // outright. The chosen direction is returned so callers can trace
@@ -76,7 +77,7 @@ func (s OpSpec[T]) MxV(sr Semiring[T], a *Matrix[T], u *Vector[T]) (dir Traversa
 		}
 	}
 
-	plan := planMxV(u, mask, desc, rowG, colG, outDim)
+	plan := planMxV(u, mask, desc, sr, rowG, colG, outDim)
 	dir = plan.Dir
 	if desc != nil && desc.Plan != nil {
 		*desc.Plan = plan
@@ -180,7 +181,7 @@ func VxM[T, M comparable](w *Vector[T], mask *Vector[M], accum BinaryOp[T], s Se
 // meaning: ForcePush/ForcePull pin the kernel (costs are still estimated
 // for the trace), an explicit SwitchPoint selects the legacy ratio rule,
 // and NoAutoConvert freezes u's format and dispatches on it.
-func planMxV[T comparable](u *Vector[T], mask MaskVector, desc *Descriptor, rowG, colG *sparse.CSR[T], outDim int) core.Plan {
+func planMxV[T comparable](u *Vector[T], mask MaskVector, desc *Descriptor, sr Semiring[T], rowG, colG *sparse.CSR[T], outDim int) core.Plan {
 	var force *core.Direction
 	if desc != nil {
 		switch desc.Direction {
@@ -213,6 +214,9 @@ func planMxV[T comparable](u *Vector[T], mask MaskVector, desc *Descriptor, rowG
 		MaskAllowFrac: 1,
 		Force:         force,
 		InKind:        kindOf(u.Format()),
+	}
+	if pullExits(desc, sr) {
+		in.PullPop = in.NNZ
 	}
 	if desc != nil {
 		if desc.CostModel != nil {
@@ -379,6 +383,13 @@ func swapStorage[T comparable](dst, src *Vector[T]) {
 func mergeAccum[T comparable](ws *Workspace, w, t *Vector[T], accum BinaryOp[T]) error {
 	mergeInto(ws, w, t, accum, false, core.MaskView{})
 	return nil
+}
+
+// pullExits reports whether a pull under desc and s stops each row at its
+// first hit, the condition for pricing pull probes against the operand's
+// population (core.PlanInput.PullPop).
+func pullExits[T comparable](desc *Descriptor, s Semiring[T]) bool {
+	return core.PullExits(desc.coreOpts(nil), toCoreSR(s))
 }
 
 // toCoreSR lowers a public semiring to the kernel representation.

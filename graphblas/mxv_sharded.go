@@ -90,6 +90,9 @@ func (s OpSpec[T]) mxvSharded(sr Semiring[T], a *Matrix[T], u *Vector[T], rowG, 
 		InKind:        kindOf(u.Format()),
 		SwitchPoint:   desc.SwitchPoint,
 	}
+	if core.PullExits(opts, csr) {
+		in.PullPop = in.NNZ
+	}
 	if desc.CostModel != nil {
 		in.Model = *desc.CostModel
 	}

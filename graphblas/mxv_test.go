@@ -382,3 +382,58 @@ func TestMxVMaskAllowList(t *testing.T) {
 		return true
 	})
 }
+
+// TestMxVAutoPricesPullEarlyExit: under Auto the planner prices each pull
+// row at min(d̄, n/nnz(u)) probes when the pull stops at its first hit
+// (structure-only, early exit on, a semiring with a terminal), and at the
+// full d̄ otherwise. The sharded planner inherits the same pricing.
+func TestMxVAutoPricesPullEarlyExit(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	n := 1000
+	a := randBoolMatrix(rng, n, 0.05)
+	d := core.AvgRowDegree(a.NVals(), n)
+	u := NewVector[bool](n)
+	for i := 0; i < n; i += 4 {
+		_ = u.SetElement(i, true)
+	}
+	nnz := u.NVals()
+	for _, c := range []struct {
+		name   string
+		desc   Descriptor
+		sr     Semiring[bool]
+		probes float64
+	}{
+		{"early-exit", Descriptor{StructureOnly: true}, OrAndBool(), core.PullProbes(d, n, nnz)},
+		{"no-early-exit", Descriptor{StructureOnly: true, NoEarlyExit: true}, OrAndBool(), d},
+		{"values", Descriptor{}, OrAndBool(), d},
+	} {
+		var plan core.Plan
+		desc := c.desc
+		desc.Plan = &plan
+		w := NewVector[bool](n)
+		if _, err := Into(w).With(&desc).MxV(c.sr, a, u.Dup()); err != nil {
+			t.Fatal(err)
+		}
+		if want := float64(n) * c.probes; plan.PullCost != want {
+			t.Errorf("%s: pull cost %v, want %v", c.name, plan.PullCost, want)
+		}
+
+		var sharded core.Plan
+		desc.Plan, desc.Shards = &sharded, 4
+		if _, err := Into(w).With(&desc).MxV(c.sr, a, u.Dup()); err != nil {
+			t.Fatal(err)
+		}
+		if len(sharded.Shards) < 2 {
+			t.Fatalf("%s: sharded plan has %d shards", c.name, len(sharded.Shards))
+		}
+		// Each shard prices its own rows at its own mean degree (about 50
+		// here), which the early exit caps at n/nnz(u) = 4 probes.
+		exitProbes := float64(n) / float64(nnz)
+		for _, s := range sharded.Shards {
+			rows := float64(s.Hi - s.Lo)
+			if exits := c.probes < d; exits != (s.PullCost == rows*exitProbes) {
+				t.Errorf("%s: shard [%d,%d) pull cost %v, early-exit price %v", c.name, s.Lo, s.Hi, s.PullCost, rows*exitProbes)
+			}
+		}
+	}
+}

@@ -15,11 +15,14 @@ import (
 // Descriptor.Direction; plain MxV callers get the same machinery
 // implicitly under Direction == Auto.
 //
-// A zero SwitchPoint selects the edge-based cost model (push cost = Σ
-// frontier out-degrees × merge log factor, pull cost = rows × average
-// degree × effective-mask density); a positive SwitchPoint selects the
-// paper's legacy nnz/n ratio rule at that crossover. Hysteresis lives in
-// the Planner, one traversal per Planner (call Reset between traversals).
+// A zero SwitchPoint selects the edge-based cost model: push cost = Σ
+// frontier out-degrees × merge log factor, pull cost = rows × probes per
+// row × effective-mask density. A row costs the average degree d̄, or
+// min(d̄, n/pop) against a pull operand of population pop once
+// WithEarlyExit has found that the pull stops at a row's first hit. A
+// positive SwitchPoint selects the paper's legacy nnz/n ratio rule at that
+// crossover. Hysteresis lives in the Planner, one traversal per Planner
+// (call Reset between traversals).
 type Planner[T comparable] struct {
 	rowG, colG  *sparse.CSR[T]
 	outDim      int
@@ -29,6 +32,7 @@ type Planner[T comparable] struct {
 	model       core.CostModel
 	corr        core.Corrector
 	pullKind    core.VecKind
+	pullExits   bool
 }
 
 // NewPlanner builds a planner for products against a (or aᵀ when transpose
@@ -59,6 +63,16 @@ func (p *Planner[T]) WithModel(m *core.CostModel) *Planner[T] {
 	return p
 }
 
+// WithEarlyExit records whether the pull kernel, run under desc and s,
+// stops each row at its first hit (core.PullExits: structure-only, early
+// exit on, a semiring with a terminal), returning the planner for chaining.
+// Only then does Plan price pull probes against the operand population it
+// is handed; otherwise every row costs its full average degree.
+func (p *Planner[T]) WithEarlyExit(desc *Descriptor, s Semiring[T]) *Planner[T] {
+	p.pullExits = pullExits(desc, s)
+	return p
+}
+
 // SetPullProbeKind tells a calibrated model which storage kind the pull
 // kernel would probe as its input — KindBitset when the algorithm reuses a
 // word-packed visited set as the pull operand (BFS Optimization 4),
@@ -82,8 +96,11 @@ func (p *Planner[T]) Corrector() *core.Corrector { return &p.corr }
 // cost is then the exact Σ outdeg read off the push-side CSR in O(nnz);
 // pass nil (bitmap/dense frontiers) for the nnz·d̄ estimate. maskAllowed is
 // the number of output rows the effective mask lets through (BFS:
-// unvisited count), or a negative value for an unmasked product.
-func (p *Planner[T]) Plan(frontierInd []uint32, nnz, maskAllowed int) core.Plan {
+// unvisited count), or a negative value for an unmasked product. pullNVals
+// is the population of the operand the pull kernel would probe (BFS with
+// operand reuse: the visited count); it is ignored unless WithEarlyExit
+// found that the pull stops at a row's first hit.
+func (p *Planner[T]) Plan(frontierInd []uint32, nnz, maskAllowed, pullNVals int) core.Plan {
 	in := core.PlanInput{
 		NNZ:           nnz,
 		N:             p.colG.Rows,
@@ -94,6 +111,9 @@ func (p *Planner[T]) Plan(frontierInd []uint32, nnz, maskAllowed int) core.Plan 
 		SwitchPoint:   p.switchPoint,
 		InKind:        p.pullKind,
 		Model:         p.model,
+	}
+	if p.pullExits {
+		in.PullPop = pullNVals
 	}
 	if p.model.Calibrated() {
 		in.Correct = &p.corr

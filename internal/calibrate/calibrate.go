@@ -195,8 +195,13 @@ func benchGraph(name string, csr *sparse.CSR[bool], frac float64, runs int, rng 
 		edgesF += float64(csr.RowLen(int(i)))
 	}
 	mergeFactor := math.Log2(float64(k) + 2)
-	// Pull-side counts under the ¬visited word mask: the planner prices
-	// allowed rows times average degree.
+	// Pull-side counts, exactly as the planner computes them: every pull
+	// here runs structure-only with early exit, so a row makes
+	// core.PullProbes(d, n, pop) probes against an input of population pop
+	// — one against the all-present dense input, min(d, n/k) against the
+	// k-entry pattern — and the ¬visited word mask allows n−k rows.
+	denseProbes := core.PullProbes(d, n, n)
+	probes := core.PullProbes(d, n, k)
 	allowRows := float64(n - k)
 	mask := core.MaskView{Words: words, Scmp: true}
 
@@ -210,22 +215,22 @@ func benchGraph(name string, csr *sparse.CSR[bool], frac float64, runs int, rng 
 	}
 	benches := []bench{
 		{"pull-dense", map[int]float64{
-			termSetup: 1, termRow: float64(n), termProbeDense: float64(n) * d,
+			termSetup: 1, termRow: float64(n), termProbeDense: float64(n) * denseProbes,
 		}, func() {
 			core.RowMxv(wVal, wPresent, csr, core.DenseVec(denseVal), sr, opts)
 		}},
 		{"pull-bitmap", map[int]float64{
-			termSetup: 1, termRow: float64(n), termProbeBool: float64(n) * d,
+			termSetup: 1, termRow: float64(n), termProbeBool: float64(n) * probes,
 		}, func() {
 			core.RowMxv(wVal, wPresent, csr, core.BitmapVec(bitmapVal, present, k), sr, opts)
 		}},
 		{"pull-masked-word", map[int]float64{
-			termSetup: 1, termRow: allowRows, termProbeWord: allowRows * d,
+			termSetup: 1, termRow: allowRows, termProbeWord: allowRows * probes,
 		}, func() {
 			core.RowMaskedMxv(wVal, wPresent, csr, core.BitsetVec(bitmapVal, words, k), mask, sr, opts)
 		}},
 		{"pull-masked-bitmap-in", map[int]float64{
-			termSetup: 1, termRow: allowRows, termProbeBool: allowRows * d,
+			termSetup: 1, termRow: allowRows, termProbeBool: allowRows * probes,
 		}, func() {
 			core.RowMaskedMxv(wVal, wPresent, csr, core.BitmapVec(bitmapVal, present, k), mask, sr, opts)
 		}},

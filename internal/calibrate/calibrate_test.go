@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -235,6 +236,33 @@ func TestCollectAndRunSmoke(t *testing.T) {
 		"pull-masked-word", "pull-masked-bitmap-in", "push-sort", "push-scatter"} {
 		if !seen[name] {
 			t.Fatalf("missing benchmark %q in observations", name)
+		}
+	}
+
+	// The pulls run with early exit, so their probe features count the
+	// probes the planner prices: one per row against the all-present dense
+	// input, at most n/k per row against a k-entry pattern.
+	n := 1 << opt.Scale
+	for _, o := range obs {
+		parts := strings.Split(o.Bench, "/")
+		if parts[0] != "rmat" {
+			continue
+		}
+		frac, err := strconv.ParseFloat(parts[1], 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		k := int(frac * float64(n))
+		probes := o.Feats[termProbeBool] + o.Feats[termProbeWord] + o.Feats[termProbeDense]
+		switch name := parts[2]; {
+		case name == "pull-dense":
+			if probes != o.Feats[termRow] {
+				t.Errorf("%s: %v dense probes over %v rows, want one per row", o.Bench, probes, o.Feats[termRow])
+			}
+		case strings.HasPrefix(name, "pull-"):
+			if perRow := probes / o.Feats[termRow]; perRow > float64(n)/float64(k)+1e-9 {
+				t.Errorf("%s: %v probes per row, early exit bounds it by n/k = %v", o.Bench, perRow, float64(n)/float64(k))
+			}
 		}
 	}
 

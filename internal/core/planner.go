@@ -11,16 +11,21 @@ import "math"
 // not vertex counts — and storage format then follows the chosen direction.
 //
 //	push cost ≈ Σ_{i∈frontier} outdeg(i) · log₂ nnz(f)
-//	pull cost ≈ rows · avg-degree, discounted by the effective mask density
+//	pull cost ≈ rows · min(d̄, n/pop), discounted by the effective mask density
 //
 // The push sum is read directly off CSC.Ptr in O(nnz(u)); the log factor is
 // the multiway-merge term of Table 1 row 3. The pull product is Table 1
 // rows 1–2: an unmasked pull scans every row, a masked pull only the rows
-// the effective mask allows. Hysteresis is preserved from the legacy
-// heuristic: a switch away from the current direction additionally requires
-// the frontier to be moving the right way (growing to go pull, shrinking to
-// go push), so a frontier hovering at the crossover does not flap — and
-// with it, neither does the vector's storage format.
+// the effective mask allows. Each row costs its probes into the input: d̄,
+// the average row degree, when the kernel scans whole rows, and
+// min(d̄, n/pop) when it stops at a row's first hit (the early exit of
+// Algorithm 2, with pop the input's population — the per-dot price
+// SuiteSparse's bfs_pushpull and GraphBLAST charge). Hysteresis is
+// preserved from the legacy heuristic: a switch away from the current
+// direction additionally requires the frontier to be moving the right way
+// (growing to go pull, shrinking to go push), so a frontier hovering at the
+// crossover does not flap — and with it, neither does the vector's storage
+// format.
 //
 // The unit-weight estimates above assume a gathered edge, a scanned row
 // and a scattered output all cost one RAM access. PlanInput.Model replaces
@@ -147,6 +152,12 @@ type PlanInput struct {
 	PushEdges float64
 	// AvgDeg is the mean row population of the pull-side matrix.
 	AvgDeg float64
+	// PullPop is the pull operand's population — how many input entries a
+	// probe can hit — when the pull kernel stops each row at its first hit
+	// (PullExits: structure-only, early exit on, a semiring with a
+	// Terminal). Each allowed row then costs PullProbes(AvgDeg, N, PullPop)
+	// probes instead of AvgDeg. Zero means the kernel scans whole rows.
+	PullPop int
 	// MaskAllowFrac is the fraction of output rows the effective mask
 	// allows: 1 with no mask, nnz(m)/OutRows for a plain mask,
 	// 1−nnz(m)/OutRows under structural complement. The pull cost is
@@ -223,14 +234,15 @@ func DecideDirection(in PlanInput, st *PlanState) Plan {
 	// estimate used to be charged unconditionally, inflating PushCost near
 	// the crossover exactly where the decision is closest.
 	wouldScatter := in.OutRows > 0 && pushEdges >= BitmapOutFraction*float64(in.OutRows)
+	probes := PullProbes(in.AvgDeg, in.N, in.PullPop)
 	var sortCost, scatterCost float64
 	if m := in.Model; m.Calibrated() {
 		rows := float64(in.OutRows) * allow
-		p.PullCost = m.SetupNs + rows*(m.RowNs+in.AvgDeg*m.ProbeNs(in.InKind))
+		p.PullCost = m.SetupNs + rows*(m.RowNs+probes*m.ProbeNs(in.InKind))
 		sortCost = m.SetupNs + pushEdges*(m.GatherNs+mergeFactor*m.SortNs)
 		scatterCost = m.SetupNs + pushEdges*(m.GatherNs+m.ScatterNs) + float64(in.OutRows)*m.ClearNs
 	} else {
-		p.PullCost = float64(in.OutRows) * in.AvgDeg * allow
+		p.PullCost = float64(in.OutRows) * probes * allow
 		sortCost = pushEdges * mergeFactor
 		scatterCost = pushEdges*unitScatterEdge + float64(in.OutRows)*unitScatterClear
 	}
@@ -326,6 +338,26 @@ func legacyRatioRule(in PlanInput, st *PlanState, p Plan) Direction {
 		}
 	}
 	return current
+}
+
+// PullExits reports whether the pull kernel stops each row at its first
+// hit under opts and sr — the existence scan of rowAccumulate, which needs
+// structure-only, early exit on and a semiring with a Terminal. Planner
+// sites set PlanInput.PullPop only when it holds.
+func PullExits[T comparable](opts Opts, sr SR[T]) bool {
+	return opts.StructureOnly && opts.EarlyExit && sr.Terminal != nil
+}
+
+// PullProbes is the expected number of input probes a pull makes per row of
+// average degree d against an input of dimension n with pop entries
+// present: a row that stops at its first hit finds one after about n/pop
+// probes and never needs more than d, so min(d, n/pop). pop ≤ 0 means the
+// kernel cannot stop early and probes all d.
+func PullProbes(d float64, n, pop int) float64 {
+	if pop <= 0 {
+		return d
+	}
+	return math.Min(d, float64(n)/float64(pop))
 }
 
 // AvgRowDegree returns nnz/rows for a CSR, the d of the cost model.

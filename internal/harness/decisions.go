@@ -170,7 +170,10 @@ func decisionReplay(name string, g *graphblas.Matrix[bool], model *core.CostMode
 			NNZ: frontier.NVals(), N: n, OutRows: n,
 			PushEdges: pushEdges, AvgDeg: avgDeg,
 			MaskAllowFrac: float64(n-visitedCount) / float64(n),
-			InKind:        core.KindBitset,
+			// The measured pull is the structure-only, early-exiting probe
+			// of the visited set, priced as BFS's planner prices it.
+			PullPop: visitedCount,
+			InKind:  core.KindBitset,
 		}
 		row.UnitDir = core.DecideDirection(in, &unitState).Dir
 		row.UnitGood = decisionGood(row.UnitDir, row.PushMS, row.PullMS)

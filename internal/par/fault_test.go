@@ -248,29 +248,26 @@ func TestDispatchQueueFullFallback(t *testing.T) {
 	}
 	blocker.wbody, blocker.tok = nil, nil
 	blocker.n, blocker.grain, blocker.chunks = nw, 1, nw
-	blocker.next.Store(0)
-	blocker.wg.Add(nw)
-	blocker.refs.Store(int64(nw) + 1) // nw queue entries + our handle
+	blockerGen := blocker.arm()
 	for i := 0; i < nw; i++ {
-		jobs <- blocker
+		jobs <- hint{blocker, blockerGen}
 	}
 	for int(blocked.Load()) < nw {
 		runtime.Gosched()
 	}
 
 	// Stuff the queue with an inert job (zero chunks: workers that ever
-	// drain it do no work). All consumers are blocked, so the refs store
-	// after counting the sends is race-free.
+	// drain it do no work).
 	filler := jobPool.Get().(*job)
 	filler.body = func(lo, hi int) {}
 	filler.wbody, filler.tok = nil, nil
 	filler.n, filler.grain, filler.chunks = 0, 1, 0
-	filler.next.Store(0)
+	fillerGen := filler.arm()
 	sent := 0
 fill:
 	for {
 		select {
-		case jobs <- filler:
+		case jobs <- hint{filler, fillerGen}:
 			sent++
 		default:
 			break fill
@@ -279,7 +276,6 @@ fill:
 	if sent == 0 || len(jobs) != cap(jobs) {
 		t.Fatalf("queue not full after %d sends (len %d, cap %d)", sent, len(jobs), cap(jobs))
 	}
-	filler.refs.Store(int64(sent) + 1)
 
 	// The queue is full and every worker is blocked: this For must take the
 	// caller-only fallback and still cover the range exactly.
@@ -291,14 +287,12 @@ fill:
 	}
 
 	// Unblock and drain: workers finish the blocker, then consume the
-	// filler entries as no-ops; refcounts return both jobs to the pool.
+	// filler entries as no-ops.
 	close(release)
 	blocker.wg.Wait()
-	releaseJob(blocker)
 	for len(jobs) > 0 {
 		runtime.Gosched()
 	}
-	releaseJob(filler)
 
 	// The substrate must be fully serviceable again.
 	hits := make([]int32, 3*DefaultGrain)

@@ -28,6 +28,7 @@ package par
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime"
 	"runtime/debug"
 	"sync"
@@ -124,14 +125,21 @@ func (t *Token) Context() context.Context {
 }
 
 // job describes one parallel loop. Exactly one of body (dynamic chunks,
-// For) and wbody (static spans, ForWorker) is set. Jobs are pooled and
-// reference-counted: the dispatching goroutine holds one reference and each
-// queue entry holds one, so a job is recycled only after every parked
-// worker that received it has let go — which is what makes the pool safe
-// against stale queue entries without generation counters.
+// For) and wbody (static spans, ForWorker) is set. Jobs are pooled, and a
+// record goes back to the pool as soon as its dispatcher has seen every
+// chunk finish — whether or not the parked workers it woke have serviced
+// their queue entries yet. That keeps reuse on the dispatcher's own P, so a
+// steady stream of loops never misses the pool however late helpers wake.
+// Stale queue entries are made harmless by generations: every loop run on a
+// record gets a fresh generation, each queue entry carries the generation
+// it announced, and a chunk is claimed by one CAS on state, which packs the
+// generation with the count of unclaimed chunks. An entry whose loop has
+// finished, or whose record has since been re-armed for another loop,
+// claims nothing and touches no other field. (Generations are 32 bits: an
+// entry would have to sit unserviced through 2³² loops on its record to
+// alias a live one.)
 type job struct {
-	refs   atomic.Int64
-	next   atomic.Int64               // next chunk/span to claim
+	state  atomic.Uint64              // generation<<32 | unclaimed chunks
 	fault  atomic.Pointer[PanicError] // first body panic, CAS-claimed
 	tok    *Token                     // optional cooperative cancellation
 	wg     sync.WaitGroup             // counts *chunks*, not workers: Wait returns when the loop is done even if queued entries were never picked up
@@ -144,12 +152,46 @@ type job struct {
 
 var jobPool = sync.Pool{New: func() any { return new(job) }}
 
+// hint is one queue entry: a wake-up call for the loop of generation gen
+// on record j.
+type hint struct {
+	j   *job
+	gen uint32
+}
+
+// arm starts the record's next loop: a fresh generation with all j.chunks
+// chunks unclaimed. It returns the generation the loop's hints carry. The
+// loop's fields must be set before arm publishes them.
+func (j *job) arm() uint32 {
+	j.wg.Add(j.chunks)
+	gen := uint32(j.state.Load()>>32) + 1
+	j.state.Store(uint64(gen)<<32 | uint64(j.chunks))
+	return gen
+}
+
+// claim takes the next chunk of loop gen, or reports false once none is
+// left or the record has moved on to a later loop. A successful claim holds
+// the loop open (its chunk is not yet Done, so the dispatcher is still
+// waiting), which is what makes reading the loop's fields safe afterwards.
+func (j *job) claim(gen uint32) (int, bool) {
+	for {
+		s := j.state.Load()
+		left := uint32(s)
+		if uint32(s>>32) != gen || left == 0 {
+			return 0, false
+		}
+		if j.state.CompareAndSwap(s, s-1) {
+			return j.chunks - int(left), true
+		}
+	}
+}
+
 // jobs is the parked workers' shared queue. Buffered generously so
 // dispatchers never block on send: an entry is only a wake-up hint — the
 // dispatching goroutine claims chunks itself, so a hint that is never
-// serviced costs nothing but its reference.
+// serviced costs nothing.
 var (
-	jobs        chan *job
+	jobs        chan hint
 	workersOnce sync.Once
 	spawned     atomic.Int64
 )
@@ -164,7 +206,7 @@ const maxParked = 256
 func ParkedWorkers() int { return int(spawned.Load()) }
 
 func ensureWorkers(want int) {
-	workersOnce.Do(func() { jobs = make(chan *job, 4*maxParked) })
+	workersOnce.Do(func() { jobs = make(chan hint, 4*maxParked) })
 	if want > maxParked {
 		want = maxParked
 	}
@@ -179,22 +221,21 @@ func ensureWorkers(want int) {
 }
 
 func parkedWorker() {
-	for j := range jobs {
-		runChunks(j)
-		releaseJob(j)
+	for h := range jobs {
+		runChunks(h.j, h.gen)
 	}
 }
 
-// runChunks claims and executes chunks of j until none remain. Both the
-// dispatcher and any parked worker that received a queue entry run this, so
-// the loop completes even when every parked worker is busy elsewhere. Once a
-// fault is recorded or the job's token trips, remaining chunks drain as
-// no-ops — each still claimed and Done'd, so the chunk accounting (and with
-// it dispatch's Wait) always closes out.
-func runChunks(j *job) {
+// runChunks claims and executes chunks of loop gen on j until none remain.
+// Both the dispatcher and any parked worker that received a queue entry run
+// this, so the loop completes even when every parked worker is busy
+// elsewhere. Once a fault is recorded or the job's token trips, remaining
+// chunks drain as no-ops — each still claimed and Done'd, so the chunk
+// accounting (and with it dispatch's Wait) always closes out.
+func runChunks(j *job, gen uint32) {
 	for {
-		c := int(j.next.Add(1)) - 1
-		if c >= j.chunks {
+		c, ok := j.claim(gen)
+		if !ok {
 			return
 		}
 		if j.fault.Load() != nil || j.tok.Cancelled() {
@@ -231,39 +272,30 @@ func (j *job) runChunk(c int) {
 	}
 }
 
-func releaseJob(j *job) {
-	if j.refs.Add(-1) == 0 {
-		j.body, j.wbody, j.tok = nil, nil, nil
-		j.fault.Store(nil)
-		jobPool.Put(j)
-	}
-}
-
 // dispatch runs a prepared job: the caller participates in chunk-stealing
 // and queue entries wake up to `helpers` parked workers. It returns after
-// every chunk has executed (or drained). If any chunk body panicked, the
-// captured first fault is re-raised here, on the dispatching goroutine —
-// the parked workers have already recovered and moved on.
+// every chunk has executed (or drained), with the record already back in
+// the pool. If any chunk body panicked, the captured first fault is
+// re-raised here, on the dispatching goroutine — the parked workers have
+// already recovered and moved on.
 func dispatch(j *job, helpers int) {
 	ensureWorkers(helpers)
-	j.wg.Add(j.chunks)
-	j.refs.Store(1)
-	j.next.Store(0)
+	gen := j.arm()
 	for i := 0; i < helpers; i++ {
-		j.refs.Add(1)
 		select {
-		case jobs <- j:
+		case jobs <- hint{j, gen}:
 		default:
 			// Queue full: the caller and already-woken workers will
 			// finish the loop on their own.
-			j.refs.Add(-1)
 			i = helpers
 		}
 	}
-	runChunks(j)
+	runChunks(j, gen)
 	j.wg.Wait()
 	fault := j.fault.Load()
-	releaseJob(j)
+	j.body, j.wbody, j.tok = nil, nil, nil
+	j.fault.Store(nil)
+	jobPool.Put(j)
 	if fault != nil {
 		panic(fault)
 	}
@@ -306,6 +338,11 @@ func ForCancel(tok *Token, n, grain int, body func(lo, hi int)) {
 		return
 	}
 	chunks := (n + grain - 1) / grain
+	if uint64(chunks) > math.MaxUint32 {
+		// The claim word counts unclaimed chunks in 32 bits.
+		grain = int((uint64(n)-1)/math.MaxUint32 + 1)
+		chunks = (n + grain - 1) / grain
+	}
 	if workers > chunks {
 		workers = chunks
 	}

@@ -1,6 +1,8 @@
 package par
 
 import (
+	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -111,5 +113,55 @@ func TestNestedDispatch(t *testing.T) {
 	})
 	if total.Load() != 64 {
 		t.Fatalf("outer loop covered %d of 64", total.Load())
+	}
+}
+
+// TestBackToBackDispatchWithParkedWorkers is the regression guard for
+// job-record reuse. Under GOMAXPROCS 1 the parked workers cannot wake while
+// the dispatcher runs every chunk itself, so each loop's queue entries are
+// still unserviced when the next loop starts. The record must be back in
+// the pool regardless — back-to-back dispatches allocate nothing — and the
+// stale entries, once the workers do wake, must claim nothing from the
+// loops that reuse the record.
+func TestBackToBackDispatchWithParkedWorkers(t *testing.T) {
+	prev := SetMaxWorkers(4)
+	defer SetMaxWorkers(prev)
+	For(4*DefaultGrain, 0, func(lo, hi int) {}) // spawn the parked workers
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+
+	n := 8 * DefaultGrain
+	var covered atomic.Int64
+	body := func(lo, hi int) { covered.Add(int64(hi - lo)) }
+	wbody := func(w, lo, hi int) { covered.Add(int64(hi - lo)) }
+	const runs = 50
+	forAllocs := testing.AllocsPerRun(runs, func() { For(n, 0, body) })
+	spanAllocs := testing.AllocsPerRun(runs, func() { ForWorker(n, wbody) })
+	if !raceEnabled {
+		// sync.Pool drops Puts at random under the race detector.
+		if forAllocs != 0 || spanAllocs != 0 {
+			t.Errorf("back-to-back dispatch with parked workers: For %v, ForWorker %v allocs/op, want 0", forAllocs, spanAllocs)
+		}
+	}
+	// AllocsPerRun makes one warm-up call before its measured runs.
+	if got, want := covered.Load(), int64(2*(runs+1)*n); got != want {
+		t.Fatalf("covered %d elements, want %d", got, want)
+	}
+
+	// Let the workers drain the stale entries while fresh loops reuse the
+	// records: every loop must still cover its range exactly once.
+	for round := 0; round < 200; round++ {
+		runtime.Gosched()
+		hits := make([]int32, n)
+		For(n, 64, func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				atomic.AddInt32(&hits[i], 1)
+			}
+		})
+		for i, h := range hits {
+			if h != 1 {
+				t.Fatalf("round %d: index %d visited %d times", round, i, h)
+			}
+		}
 	}
 }
