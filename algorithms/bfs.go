@@ -4,6 +4,13 @@
 // toggleable), parent-tracking BFS, SSSP, PageRank and its masked adaptive
 // variant, triangle counting via masked MxM, maximal independent set, and
 // betweenness centrality — the Section 5.6 generality set.
+//
+// Each configurable algorithm has one entry point, X(a, …, XOptions):
+// BFS, ParentBFS, SSSP, PageRank, AdaptivePageRank, ConnectedComponents,
+// BetweennessCentrality and FusedBFS. The zero options value is the
+// default run; calibrated cost models, cancellation contexts, pinned
+// workspaces and sharding are fields on the options, not separate
+// functions.
 package algorithms
 
 import (

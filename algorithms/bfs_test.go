@@ -186,7 +186,7 @@ func TestParentBFSValidTree(t *testing.T) {
 		n := 5 + rng.Intn(50)
 		g := randUndirected(rng, n, 0.1)
 		src := rng.Intn(n)
-		parents, err := ParentBFS(g, src)
+		parents, err := ParentBFS(g, src, ParentBFSOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -131,7 +131,7 @@ func TestWithContextVariantsCancelled(t *testing.T) {
 	a := pathGraph(40)
 	ctx := cancelledCtx()
 
-	parents, err := ParentBFSWithContext(ctx, a, 0, nil)
+	parents, err := ParentBFS(a, 0, ParentBFSOptions{Context: ctx})
 	if !errors.Is(err, graphblas.ErrCancelled) {
 		t.Fatalf("ParentBFS: err = %v, want ErrCancelled", err)
 	}
@@ -139,7 +139,7 @@ func TestWithContextVariantsCancelled(t *testing.T) {
 		t.Fatalf("ParentBFS partial parents wrong: len %d", len(parents))
 	}
 
-	res, err := FusedBFSWithContext(ctx, a, 0, 0, nil)
+	res, err := FusedBFS(a, 0, FusedBFSOptions{Context: ctx})
 	if !errors.Is(err, graphblas.ErrCancelled) {
 		t.Fatalf("FusedBFS: err = %v, want ErrCancelled", err)
 	}
@@ -147,7 +147,7 @@ func TestWithContextVariantsCancelled(t *testing.T) {
 		t.Fatal("FusedBFS partial depths missing")
 	}
 
-	labels, err := ConnectedComponentsWithContext(ctx, a)
+	labels, err := ConnectedComponents(a, CCOptions{Context: ctx})
 	if !errors.Is(err, graphblas.ErrCancelled) {
 		t.Fatalf("CC: err = %v, want ErrCancelled", err)
 	}
@@ -160,7 +160,7 @@ func TestWithContextVariantsCancelled(t *testing.T) {
 		}
 	}
 
-	bc, err := BetweennessCentralityWithContext(ctx, a, []int{0, 3}, nil)
+	bc, err := BetweennessCentrality(a, []int{0, 3}, BCOptions{Context: ctx})
 	if !errors.Is(err, graphblas.ErrCancelled) {
 		t.Fatalf("BC: err = %v, want ErrCancelled", err)
 	}
@@ -175,11 +175,11 @@ func TestWithContextNilMatchesPlain(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	a := randUndirected(rng, 70, 0.06)
 
-	plain, err := ParentBFS(a, 0)
+	plain, err := ParentBFS(a, 0, ParentBFSOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	withCtx, err := ParentBFSWithContext(context.Background(), a, 0, nil)
+	withCtx, err := ParentBFS(a, 0, ParentBFSOptions{Context: context.Background()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func TestWithContextNilMatchesPlain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fused, err := FusedBFSWithContext(context.Background(), a, 0, 0, nil)
+	fused, err := FusedBFS(a, 0, FusedBFSOptions{Context: context.Background()})
 	if err != nil {
 		t.Fatal(err)
 	}

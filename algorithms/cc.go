@@ -8,6 +8,22 @@ import (
 	"pushpull/internal/sparse"
 )
 
+// CCOptions configures ConnectedComponents. The zero value is the default
+// run: a pooled workspace, never cancelled.
+type CCOptions struct {
+	// Workspace, when non-nil, pins the caller's scratch arena for the run
+	// instead of acquiring a pooled one (see BFSOptions.Workspace): not
+	// released by the run, not shareable between concurrent operations.
+	Workspace *graphblas.Workspace
+	// Context makes the propagation abortable: the pipeline checks it
+	// between kernel phases, the parallel kernels stop claiming chunks once
+	// it is done, and the propagation loop checks it at each round
+	// boundary. A cancelled run returns a wrapped graphblas.ErrCancelled
+	// along with the partial labels — upper bounds on the final labels,
+	// since propagation only ever lowers them. Nil means never cancelled.
+	Context context.Context
+}
+
 // ConnectedComponents labels the weakly connected components of a graph
 // with frontier-driven label propagation over the (min, second) semiring —
 // another instance of the paper's generality claim: the active set (labels
@@ -17,39 +33,8 @@ import (
 //
 // Returns labels[i] = the smallest vertex id in i's component. For
 // directed inputs, edges are treated as bidirectional (weak connectivity).
-func ConnectedComponents(a *graphblas.Matrix[bool]) ([]uint32, error) {
-	return ConnectedComponentsWithContext(nil, a)
-}
-
-// CCOptions configures ConnectedComponentsRun, the options form of the
-// ConnectedComponents family.
-type CCOptions struct {
-	// Workspace, when non-nil, pins the caller's scratch arena for the run
-	// instead of acquiring a pooled one (see BFSOptions.Workspace): not
-	// released by the run, not shareable between concurrent operations.
-	Workspace *graphblas.Workspace
-	// Context makes the propagation abortable (see
-	// ConnectedComponentsWithContext).
-	Context context.Context
-}
-
-// ConnectedComponentsRun is ConnectedComponents with the full option set.
-func ConnectedComponentsRun(a *graphblas.Matrix[bool], opt CCOptions) ([]uint32, error) {
-	return connectedComponents(opt.Context, a, opt.Workspace)
-}
-
-// ConnectedComponentsWithContext is ConnectedComponents with cooperative
-// cancellation: the pipeline checks ctx between kernel phases, the parallel
-// kernels stop claiming chunks once it is done, and the propagation loop
-// checks it at each round boundary. A cancelled run returns a wrapped
-// graphblas.ErrCancelled along with the partial labels — upper bounds on
-// the final labels, since propagation only ever lowers them. ctx == nil
-// means never cancelled.
-func ConnectedComponentsWithContext(ctx context.Context, a *graphblas.Matrix[bool]) ([]uint32, error) {
-	return connectedComponents(ctx, a, nil)
-}
-
-func connectedComponents(ctx context.Context, a *graphblas.Matrix[bool], pinned *graphblas.Workspace) ([]uint32, error) {
+func ConnectedComponents(a *graphblas.Matrix[bool], opt CCOptions) ([]uint32, error) {
+	ctx := opt.Context
 	n := a.NRows()
 	if a.NCols() != n {
 		return nil, fmt.Errorf("algorithms: ConnectedComponents needs a square matrix, got %d×%d", a.NRows(), a.NCols())
@@ -74,7 +59,7 @@ func connectedComponents(ctx context.Context, a *graphblas.Matrix[bool], pinned 
 
 	// One workspace serves both propagation passes for the whole run; the
 	// reverse pass's accumulate target is the workspace scratch vector.
-	ws := pinned
+	ws := opt.Workspace
 	if ws == nil {
 		ws = graphblas.AcquireWorkspace(n, n)
 		defer ws.Release()

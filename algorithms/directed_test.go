@@ -82,7 +82,7 @@ func TestParentBFSDirected(t *testing.T) {
 		g := randDirected(rng, n, 0.1)
 		src := rng.Intn(n)
 		want := refBFS(g, src)
-		parents, err := ParentBFS(g, src)
+		parents, err := ParentBFS(g, src, ParentBFSOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -150,7 +150,7 @@ func TestBetweennessCentralityDirectedSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bc, err := BetweennessCentrality(g, []int{0, 1, 2, 3})
+	bc, err := BetweennessCentrality(g, []int{0, 1, 2, 3}, BCOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

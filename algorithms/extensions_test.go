@@ -59,7 +59,7 @@ func TestConnectedComponentsMatchesUnionFind(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		n := 5 + rng.Intn(80)
 		g := randUndirected(rng, n, 0.03+rng.Float64()*0.05)
-		got, err := ConnectedComponents(g)
+		got, err := ConnectedComponents(g, CCOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,7 +79,7 @@ func TestConnectedComponentsDirectedWeak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	labels, err := ConnectedComponents(g)
+	labels, err := ConnectedComponents(g, CCOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestConnectedComponentsDirectedWeak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ConnectedComponents(rect); err == nil {
+	if _, err := ConnectedComponents(rect, CCOptions{}); err == nil {
 		t.Fatal("rectangular CC accepted")
 	}
 }
@@ -103,7 +103,7 @@ func TestConnectedComponentsProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := 3 + rng.Intn(50)
 		g := randUndirected(rng, n, 0.08)
-		got, err := ConnectedComponents(g)
+		got, err := ConnectedComponents(g, CCOptions{})
 		if err != nil {
 			return false
 		}
@@ -134,7 +134,7 @@ func TestFusedBFSMatchesBFS(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := FusedBFS(g, src, 0)
+			got, err := FusedBFS(g, src, FusedBFSOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -155,17 +155,17 @@ func TestFusedBFSMatchesBFS(t *testing.T) {
 
 func TestFusedBFSErrors(t *testing.T) {
 	g := pathGraph(5)
-	if _, err := FusedBFS(g, -1, 0); err == nil {
+	if _, err := FusedBFS(g, -1, FusedBFSOptions{}); err == nil {
 		t.Fatal("bad source accepted")
 	}
-	if _, err := FusedBFS(g, 99, 0); err == nil {
+	if _, err := FusedBFS(g, 99, FusedBFSOptions{}); err == nil {
 		t.Fatal("bad source accepted")
 	}
 	rect, err := graphblas.NewMatrixFromCOO(2, 3, []uint32{0}, []uint32{1}, []bool{true}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := FusedBFS(rect, 0, 0); err == nil {
+	if _, err := FusedBFS(rect, 0, FusedBFSOptions{}); err == nil {
 		t.Fatal("rectangular accepted")
 	}
 }
@@ -177,7 +177,7 @@ func TestFusedBFSPropertySwitchPoints(t *testing.T) {
 		g := randUndirected(rng, n, 0.04+rng.Float64()*0.1)
 		src := rng.Intn(n)
 		want := refBFS(g, src)
-		got, err := FusedBFS(g, src, 0.001+rng.Float64()*0.3)
+		got, err := FusedBFS(g, src, FusedBFSOptions{SwitchPoint: 0.001 + rng.Float64()*0.3})
 		if err != nil {
 			return false
 		}

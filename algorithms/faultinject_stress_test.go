@@ -231,7 +231,7 @@ func TestConcurrentAlgorithmsUnderFaults(t *testing.T) {
 	errs := make([]error, 3)
 	wg.Add(3)
 	go func() { defer wg.Done(); _, errs[0] = BFS(ab, 0, BFSOptions{}) }()
-	go func() { defer wg.Done(); _, errs[1] = ConnectedComponents(ab) }()
+	go func() { defer wg.Done(); _, errs[1] = ConnectedComponents(ab, CCOptions{}) }()
 	go func() { defer wg.Done(); _, errs[2] = SSSP(aw, 0, SSSPOptions{}) }()
 	wg.Wait()
 	disarm()

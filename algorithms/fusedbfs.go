@@ -22,6 +22,23 @@ func kernelFault(ws *core.Workspace, errp *error) {
 	}
 }
 
+// FusedBFSOptions configures FusedBFS. The zero value is the default run:
+// edge-based cost model in unit coefficients, never cancelled.
+type FusedBFSOptions struct {
+	// SwitchPoint == 0 plans directions with the edge-based cost model (the
+	// same rule BFS defaults to); a positive value selects the legacy nnz/n
+	// ratio rule at that crossover.
+	SwitchPoint float64
+	// Model prices each level in nanoseconds with calibrated coefficients:
+	// every fused step is timed, and the measured/predicted ratio feeds the
+	// corrector that scales the next level's estimates. Nil keeps the unit
+	// model.
+	Model *core.CostModel
+	// Context makes the traversal abortable at the next level boundary,
+	// with a wrapped graphblas.ErrCancelled. Nil means never cancelled.
+	Context context.Context
+}
+
 // FusedBFS is the kernel-fusion extension of Section 7.3: the same
 // direction-optimized traversal as BFS with default options, but each
 // level's matvec, mask application, depth assign and visited update run as
@@ -31,31 +48,13 @@ func kernelFault(ws *core.Workspace, errp *error) {
 // tasks"; this function stands in for that execution mode, and the
 // ablation benchmark quantifies what fusion is worth on top of Algorithm 1.
 //
-// Results are identical to BFS; only the execution schedule differs.
-//
-// switchPoint == 0 plans directions with the edge-based cost model (the
-// same rule BFS defaults to); a positive value selects the legacy nnz/n
-// ratio rule at that crossover.
-func FusedBFS(a *graphblas.Matrix[bool], source int, switchPoint float64) (BFSResult, error) {
-	return FusedBFSWithContext(nil, a, source, switchPoint, nil)
-}
-
-// FusedBFSTuned is FusedBFS under a calibrated cost model: the planner
-// prices each level in nanoseconds, every fused step is timed, and the
-// measured/predicted ratio feeds the corrector that scales the next
-// level's estimates. model == nil keeps the unit model (plain FusedBFS).
-func FusedBFSTuned(a *graphblas.Matrix[bool], source int, switchPoint float64, model *core.CostModel) (BFSResult, error) {
-	return FusedBFSWithContext(nil, a, source, switchPoint, model)
-}
-
-// FusedBFSWithContext is FusedBFSTuned with fault isolation and cooperative
-// cancellation. A cancelled ctx aborts the traversal at the next level
-// boundary with a wrapped graphblas.ErrCancelled; a panic inside a fused
-// kernel surfaces as a wrapped graphblas.ErrKernelPanic with the kernel
-// workspace tainted (dropped, not pooled). Either way the partial result —
-// depths discovered so far, per-level stats — comes back with the error.
-// ctx == nil means never cancelled.
-func FusedBFSWithContext(ctx context.Context, a *graphblas.Matrix[bool], source int, switchPoint float64, model *core.CostModel) (res BFSResult, err error) {
+// Results are identical to BFS; only the execution schedule differs. A
+// panic inside a fused kernel surfaces as a wrapped
+// graphblas.ErrKernelPanic with the kernel workspace tainted (dropped, not
+// pooled). On cancellation or a kernel fault the partial result — depths
+// discovered so far, per-level stats — comes back with the error.
+func FusedBFS(a *graphblas.Matrix[bool], source int, opt FusedBFSOptions) (res BFSResult, err error) {
+	ctx, model := opt.Context, opt.Model
 	n := a.NRows()
 	if a.NCols() != n {
 		return BFSResult{}, fmt.Errorf("algorithms: FusedBFS needs a square matrix, got %d×%d", a.NRows(), a.NCols())
@@ -117,7 +116,7 @@ func FusedBFSWithContext(ctx context.Context, a *graphblas.Matrix[bool], source 
 			PushEdges:     float64(pushEdges),
 			AvgDeg:        avgDeg,
 			MaskAllowFrac: float64(n-res.Visited) / float64(n),
-			SwitchPoint:   switchPoint,
+			SwitchPoint:   opt.SwitchPoint,
 			// The fused pull probes the word-packed visited set and stops
 			// at a row's first visited parent, exactly as BFS's pull does.
 			PullPop: res.Visited,

@@ -9,32 +9,15 @@ import (
 	"pushpull/internal/sparse"
 )
 
-// ParentBFS runs a Graph500-style BFS that records, for every reached
-// vertex, the parent through which it was first discovered. It uses the
-// (min, second) semiring over vertex ids: each frontier vertex carries its
-// own id, the multiply forwards the carrier's id to its neighbours, and
-// min picks a deterministic winner among competing parents.
-//
-// Returned parents[i] is the parent of i, parents[source] == source, and
-// -1 marks unreached vertices.
-func ParentBFS(a *graphblas.Matrix[bool], source int) ([]int64, error) {
-	return ParentBFSWithContext(nil, a, source, nil)
-}
-
-// ParentBFSTuned is ParentBFS under a calibrated cost model. Unlike BFS,
-// ParentBFS plans nothing itself — its matvec runs with Direction == Auto
-// — so the model and the feedback corrector ride the descriptor into the
-// MxV pipeline's own planner, which times every kernel it schedules.
-// model == nil keeps the unit model.
-func ParentBFSTuned(a *graphblas.Matrix[bool], source int, model *core.CostModel) ([]int64, error) {
-	return ParentBFSWithContext(nil, a, source, model)
-}
-
-// ParentBFSOptions configures ParentBFSRun, the options form of the
-// ParentBFS family.
+// ParentBFSOptions configures ParentBFS. The zero value is the default
+// run: unit cost model, unsharded levels, a pooled workspace, never
+// cancelled.
 type ParentBFSOptions struct {
 	// Model prices the matvec pipeline's direction planner with calibrated
-	// coefficients (see ParentBFSTuned). Nil keeps the unit model.
+	// coefficients. ParentBFS plans nothing itself — its matvec runs with
+	// Direction == Auto — so the model and a feedback corrector ride the
+	// descriptor into the MxV pipeline's own planner, which times every
+	// kernel it schedules. Nil keeps the unit model.
 	Model *core.CostModel
 	// Shards, when > 1, range-shards each level's matvec with per-shard
 	// direction decisions (see BFSOptions.Shards).
@@ -43,26 +26,25 @@ type ParentBFSOptions struct {
 	// instead of acquiring a pooled one (see BFSOptions.Workspace): not
 	// released by ParentBFS, not shareable between concurrent operations.
 	Workspace *graphblas.Workspace
-	// Context makes the traversal abortable (see ParentBFSWithContext).
+	// Context makes the traversal abortable: the pipeline checks it between
+	// kernel phases, the parallel kernels stop claiming chunks once it is
+	// done, and the traversal checks it at each level boundary. A cancelled
+	// run returns a wrapped graphblas.ErrCancelled along with the partial
+	// parent array discovered so far (unreached vertices stay -1). Nil
+	// means never cancelled.
 	Context context.Context
 }
 
-// ParentBFSRun is ParentBFS with the full option set.
-func ParentBFSRun(a *graphblas.Matrix[bool], source int, opt ParentBFSOptions) ([]int64, error) {
-	return parentBFS(opt.Context, a, source, opt.Model, opt.Shards, opt.Workspace)
-}
-
-// ParentBFSWithContext is ParentBFSTuned with cooperative cancellation: the
-// pipeline checks ctx between kernel phases, the parallel kernels stop
-// claiming chunks once it is done, and the traversal checks it at each
-// level boundary. A cancelled run returns a wrapped graphblas.ErrCancelled
-// along with the partial parent array discovered so far (unreached vertices
-// stay -1). ctx == nil means never cancelled.
-func ParentBFSWithContext(ctx context.Context, a *graphblas.Matrix[bool], source int, model *core.CostModel) ([]int64, error) {
-	return parentBFS(ctx, a, source, model, 0, nil)
-}
-
-func parentBFS(ctx context.Context, a *graphblas.Matrix[bool], source int, model *core.CostModel, shards int, pinned *graphblas.Workspace) ([]int64, error) {
+// ParentBFS runs a Graph500-style BFS that records, for every reached
+// vertex, the parent through which it was first discovered. It uses the
+// (min, second) semiring over vertex ids: each frontier vertex carries its
+// own id, the multiply forwards the carrier's id to its neighbours, and
+// min picks a deterministic winner among competing parents.
+//
+// Returned parents[i] is the parent of i, parents[source] == source, and
+// -1 marks unreached vertices.
+func ParentBFS(a *graphblas.Matrix[bool], source int, opt ParentBFSOptions) ([]int64, error) {
+	ctx := opt.Context
 	n := a.NRows()
 	if a.NCols() != n {
 		return nil, fmt.Errorf("algorithms: ParentBFS needs a square matrix, got %d×%d", a.NRows(), a.NCols())
@@ -94,21 +76,21 @@ func parentBFS(ctx context.Context, a *graphblas.Matrix[bool], source int, model
 
 	// One workspace and descriptor across the traversal; the f ← Aᵀf
 	// aliased matvec bounces through the workspace scratch vector.
-	ws := pinned
+	ws := opt.Workspace
 	if ws == nil {
 		ws = graphblas.AcquireWorkspace(n, n)
 		defer ws.Release()
 	}
 	desc := &graphblas.Descriptor{Transpose: true, StructuralComplement: true, Workspace: ws, Context: ctx}
-	if model != nil {
-		desc.CostModel = model
+	if opt.Model != nil {
+		desc.CostModel = opt.Model
 		desc.Corrector = &core.Corrector{}
 	}
-	if shards > 1 {
+	if opt.Shards > 1 {
 		// Range-sharded levels: per-shard direction decisions with
 		// per-shard corrector feedback replacing the pipeline planner's
 		// hysteresis.
-		desc.Shards = shards
+		desc.Shards = opt.Shards
 		if desc.Corrector == nil {
 			desc.Corrector = &core.Corrector{}
 		}

@@ -114,7 +114,7 @@ func TestBFSCalibratedModelEndToEnd(t *testing.T) {
 		}
 	}
 
-	parents, err := ParentBFSTuned(a, 2, model)
+	parents, err := ParentBFS(a, 2, ParentBFSOptions{Model: model})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestBFSCalibratedModelEndToEnd(t *testing.T) {
 		}
 	}
 
-	fused, err := FusedBFSTuned(a, 2, 0, model)
+	fused, err := FusedBFS(a, 2, FusedBFSOptions{Model: model})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,11 +136,11 @@ func TestBFSCalibratedModelEndToEnd(t *testing.T) {
 
 	// Untuned vs tuned must agree exactly for the result-deterministic
 	// algorithms (only the schedule may differ).
-	bcPlain, err := BetweennessCentrality(a, []int{0, 2, 5})
+	bcPlain, err := BetweennessCentrality(a, []int{0, 2, 5}, BCOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	bcTuned, err := BetweennessCentralityTuned(a, []int{0, 2, 5}, model)
+	bcTuned, err := BetweennessCentrality(a, []int{0, 2, 5}, BCOptions{Model: model})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestMxVPlanDescriptorSink(t *testing.T) {
 	var plan core.Plan
 	desc := &graphblas.Descriptor{Transpose: true, Plan: &plan}
 	w := graphblas.NewVector[bool](n)
-	dir, err := graphblas.MxV(w, (*graphblas.Vector[bool])(nil), nil, sr, a, f, desc)
+	dir, err := graphblas.Into(w).With(desc).MxV(sr, a, f)
 	if err != nil {
 		t.Fatal(err)
 	}

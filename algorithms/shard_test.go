@@ -97,11 +97,11 @@ func TestBFSShardedTrace(t *testing.T) {
 func TestParentBFSSharded(t *testing.T) {
 	rng := rand.New(rand.NewSource(79))
 	a := randUndirected(rng, 400, 0.01)
-	ref, err := ParentBFS(a, 0)
+	ref, err := ParentBFS(a, 0, ParentBFSOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ParentBFSRun(a, 0, ParentBFSOptions{Shards: 6})
+	got, err := ParentBFS(a, 0, ParentBFSOptions{Shards: 6})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -68,6 +68,11 @@ func run(file, dataset string, scale, source, nsources int, framework string, tr
 		}
 		roots = []int{best}
 	}
+	for _, src := range roots {
+		if src >= g.NRows() {
+			return fmt.Errorf("source %d out of range [0,%d)", src, g.NRows())
+		}
+	}
 
 	runners := map[string]func(src int) (int64, time.Duration, error){
 		"thiswork": func(src int) (int64, time.Duration, error) {
@@ -80,13 +85,11 @@ func run(file, dataset string, scale, source, nsources int, framework string, tr
 				}
 			}
 			var res algorithms.BFSResult
-			d := perf.Time(func() {
-				r, err := algorithms.BFS(g, src, opt)
-				if err != nil {
-					panic(err)
-				}
-				res = r
-			})
+			var err error
+			d := perf.Time(func() { res, err = algorithms.BFS(g, src, opt) })
+			if err != nil {
+				return 0, 0, err
+			}
 			fmt.Printf("  visited %d vertices in %d iterations\n", res.Visited, res.Iterations)
 			return res.EdgesTraversed, d, nil
 		},

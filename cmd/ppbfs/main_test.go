@@ -47,4 +47,9 @@ func TestRunErrors(t *testing.T) {
 	if err := run("/does/not/exist.mtx", "", 0, 0, 1, "thiswork", false); err == nil {
 		t.Fatal("missing file accepted")
 	}
+	for _, fw := range []string{"thiswork", "ligra"} {
+		if err := run("", "kron", 8, 99999, 1, fw, false); err == nil {
+			t.Fatalf("%s: out-of-range source accepted", fw)
+		}
+	}
 }

@@ -145,12 +145,12 @@ func parseRequest(r *http.Request) (serve.Request, error) {
 func handleQuery(srv *serve.Server, logger *log.Logger, w http.ResponseWriter, r *http.Request) {
 	req, err := parseRequest(r)
 	if err != nil {
-		writeError(srv, w, logger, serve.Result{}, req, err)
+		writeError(w, logger, serve.Result{}, err)
 		return
 	}
 	res, err := srv.Do(r.Context(), req)
 	if err != nil {
-		writeError(srv, w, logger, res, req, err)
+		writeError(w, logger, res, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, res)
@@ -159,21 +159,18 @@ func handleQuery(srv *serve.Server, logger *log.Logger, w http.ResponseWriter, r
 // writeError maps the error taxonomy to transport codes. The response
 // body carries only the public message — kernel panic stacks go to the
 // server log keyed by query id, never on the wire. 429 sheds add
-// Retry-After: the shed-specific prediction-derived hint when the error
-// carries one (infeasible-deadline and quota sheds), otherwise the
-// queue's estimated drain time (queue depth × the algorithm's recent p50
-// run latency) — so well-behaved clients back off proportionally to the
-// actual overload. Budget trips (598) additionally ship the query's
-// partial result, marked partial, alongside the error.
-func writeError(srv *serve.Server, w http.ResponseWriter, logger *log.Logger, res serve.Result, req serve.Request, err error) {
+// Retry-After from the hint every shed carries (the predicted backlog for
+// queue-full and infeasible-deadline sheds, the refill rate for quota
+// sheds), so well-behaved clients back off proportionally to the actual
+// overload. Budget trips (598) additionally ship the query's partial
+// result, marked partial, alongside the error.
+func writeError(w http.ResponseWriter, logger *log.Logger, res serve.Result, err error) {
 	status := serve.HTTPStatus(err)
 	switch status {
 	case http.StatusTooManyRequests:
-		secs, ok := serve.RetryAfterHint(err)
-		if !ok {
-			secs = srv.RetryAfterSeconds(req.Algo)
+		if secs, ok := serve.RetryAfterHint(err); ok {
+			w.Header().Set("Retry-After", strconv.Itoa(secs))
 		}
-		w.Header().Set("Retry-After", strconv.Itoa(secs))
 	case http.StatusInternalServerError:
 		logger.Printf("query %d failed: %v", res.ID, err)
 	}

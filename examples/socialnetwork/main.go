@@ -60,7 +60,7 @@ func main() {
 
 	// Who are the celebrities? Parent BFS gives each user's discoverer;
 	// counting children approximates influence reach.
-	parents, err := algorithms.ParentBFS(g, 0)
+	parents, err := algorithms.ParentBFS(g, 0, algorithms.ParentBFSOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -159,7 +159,7 @@ func Fig5(scale int) ([]Fig5Row, error) {
 		row.PushMS = ms(perf.TimeN(1, 3, func() {
 			out := graphblas.NewVector[bool](n)
 			fc := frontier.Dup()
-			if _, err := graphblas.MxV(out, visited, nil, sr, g, fc, pushDesc); err != nil {
+			if _, err := graphblas.Into(out).Mask(visited).With(pushDesc).MxV(sr, g, fc); err != nil {
 				panic(err)
 			}
 		}))
@@ -179,7 +179,7 @@ func Fig5(scale int) ([]Fig5Row, error) {
 		}
 		row.PullMS = ms(perf.TimeN(1, 3, func() {
 			out := graphblas.NewVector[bool](n)
-			if _, err := graphblas.MxV(out, visited, nil, sr, g, visited, pullDesc); err != nil {
+			if _, err := graphblas.Into(out).Mask(visited).With(pullDesc).MxV(sr, g, visited); err != nil {
 				panic(err)
 			}
 		}))
@@ -301,7 +301,7 @@ func Ablation(scale, sources, runs int) ([]AblationRow, error) {
 	var fusedTotal time.Duration
 	for _, src := range roots {
 		fusedTotal += perf.TimeN(1, runs, func() {
-			if _, err := algorithms.FusedBFS(g, src, 0); err != nil {
+			if _, err := algorithms.FusedBFS(g, src, algorithms.FusedBFSOptions{}); err != nil {
 				panic(err)
 			}
 		})

@@ -93,6 +93,62 @@ func TestInfeasibleDeadlineShed(t *testing.T) {
 	}
 }
 
+// TestQueueFullShedCarriesBacklogHint: a queue-full shed carries its own
+// Retry-After, derived like the infeasible shed's from the predicted
+// backlog over the pool width — so the hint lies in [1, 60] and grows with
+// the work queued ahead.
+func TestQueueFullShedCarriesBacklogHint(t *testing.T) {
+	hint := func(predicted time.Duration) int {
+		srv, err := New(Config{Workers: 1, QueueDepth: 1}, pathGraph(t, 100_000))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		srv.pred.observe("path", "bfs", 0, float64(predicted))
+
+		req := Request{Graph: "path", Algo: "bfs", Timeout: 5 * time.Minute}
+		ctx, cancel := context.WithCancel(context.Background())
+		var wg sync.WaitGroup
+		defer func() { cancel(); wg.Wait() }()
+		slow := func() {
+			defer wg.Done()
+			_, _ = srv.Do(ctx, req)
+		}
+		wg.Add(1)
+		go slow() // occupies the worker
+		waitFor(t, "first query to start running", func() bool {
+			for _, q := range srv.Queries() {
+				if q.State == "running" {
+					return true
+				}
+			}
+			return false
+		})
+		wg.Add(1)
+		go slow() // fills the queue slot: the backlog is one predicted run
+		waitFor(t, "second query to queue", func() bool {
+			return srv.Metrics().Snapshot().QueueDepth == 1
+		})
+
+		_, err = srv.Do(context.Background(), req)
+		if !errors.Is(err, ErrQueueFull) {
+			t.Fatalf("overload Do: %v, want ErrQueueFull", err)
+		}
+		secs, ok := RetryAfterHint(err)
+		if !ok || secs < minRetryAfterSeconds || secs > maxRetryAfterSeconds {
+			t.Fatalf("RetryAfterHint = (%d, %v), want a hint in [1, 60]", secs, ok)
+		}
+		return secs
+	}
+	short := hint(2500 * time.Millisecond)
+	if short != 3 {
+		t.Errorf("2.5s backlog on one worker: hint %d, want 3", short)
+	}
+	if long := hint(20 * time.Second); long <= short {
+		t.Errorf("20s backlog: hint %d, want more than the 2.5s backlog's %d", long, short)
+	}
+}
+
 // TestQuotaRate: a client over its token bucket sheds with
 // ErrQuotaExceeded (429, Retry-After from the refill rate); anonymous
 // traffic is exempt.
@@ -210,10 +266,10 @@ func TestBudgetTrip(t *testing.T) {
 	}
 }
 
-// TestQueueShedSplitFromRunHistogram is the Retry-After skew regression:
-// a query whose deadline expires while queued lands in the queue-shed
-// outcome and the queue-wait histogram — never in the run histogram the
-// drain estimator reads.
+// TestQueueShedSplitFromRunHistogram: a query whose deadline expires while
+// queued lands in the queue-shed outcome and the queue-wait histogram —
+// never in the run histogram, so /metrics run latency counts only queries
+// that ran.
 func TestQueueShedSplitFromRunHistogram(t *testing.T) {
 	srv, err := New(Config{Workers: 1, QueueDepth: 4}, pathGraph(t, 100_000))
 	if err != nil {

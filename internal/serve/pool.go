@@ -379,15 +379,6 @@ func (s *Server) SetReleaseHook(hook func(name string, gen uint64)) {
 	s.registry.releaseHook = hook
 }
 
-// RetryAfterSeconds is the backoff hint for a shed query: the admission
-// queue's estimated drain time from the algorithm's recent p50 run
-// latency, floored at one second. The HTTP layer puts it in the 429
-// Retry-After header; sheds that carry their own prediction-derived hint
-// (infeasible deadline, quota) override it via RetryAfterHint.
-func (s *Server) RetryAfterSeconds(algo string) int {
-	return s.metrics.retryAfterSeconds(algo, s.sched.depth(), s.cfg.Workers)
-}
-
 // Close stops admission, drains the queue, waits for in-flight queries to
 // finish (each still bounded by its own deadline), and retires every
 // snapshot. Safe against concurrent Do: admission goes through the
@@ -462,9 +453,10 @@ func (s *Server) budgetFor(predictedNs float64) time.Duration {
 // ErrQuotaExceeded; a query whose deadline the predicted backlog already
 // makes unmeetable sheds with ErrInfeasibleDeadline and an honest
 // Retry-After instead of being admitted to time out in line; a full queue
-// sheds with ErrQueueFull. The admitted query holds a reference on its
-// graph snapshot for its whole lifetime, so a concurrent reload can never
-// free the graph under it.
+// sheds with ErrQueueFull and a Retry-After from the same predicted
+// backlog. The admitted query holds a reference on its graph snapshot for
+// its whole lifetime, so a concurrent reload can never free the graph
+// under it.
 func (s *Server) Do(ctx context.Context, req Request) (Result, error) {
 	if s.closed.Load() {
 		return Result{}, ErrShuttingDown
@@ -535,7 +527,10 @@ func (s *Server) Do(ctx context.Context, req Request) (Result, error) {
 		s.quotas.release(req.ClientID)
 		snap.release()
 		if errors.Is(err, ErrQueueFull) {
+			// Same estimator as the infeasible shed: the predicted backlog
+			// over the pool width.
 			s.metrics.shedFull.Add(1)
+			err = retryHint(err, int(math.Ceil(s.sched.drainNs(class)/float64(s.cfg.Workers)/1e9)))
 		}
 		return Result{}, err
 	}
@@ -612,8 +607,8 @@ func (s *Server) runTask(w *worker, t *task) {
 	// A query whose context died while queued (client gone, or a deadline
 	// shorter than the queue wait) is shed here: it never reaches a
 	// kernel and lands in the dedicated queue-shed outcome, not the run
-	// histogram — so an overloaded queue cannot skew the Retry-After
-	// drain estimate with its own wait times.
+	// histogram or the predictor — so an overloaded queue cannot skew
+	// either with its own wait times.
 	if err := graphblas.CheckContext(t.ctx); err != nil {
 		s.metrics.shedInQueue.Add(1)
 		s.metrics.algos[t.r.name].observeQueueShed(queueD)

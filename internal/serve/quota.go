@@ -125,6 +125,14 @@ func (q *quotas) evictIdleLocked(now time.Time) {
 	}
 }
 
+// minRetryAfterSeconds and maxRetryAfterSeconds bound every 429 backoff
+// hint: a shed client waits at least a second, and one pathological
+// traversal cannot tell clients to go away for minutes.
+const (
+	minRetryAfterSeconds = 1
+	maxRetryAfterSeconds = 60
+)
+
 // retryHintError decorates a shed error with the prediction-derived
 // Retry-After seconds the HTTP layer should send. Unwraps to the shed
 // reason, so errors.Is taxonomy matching is unaffected.
@@ -136,8 +144,8 @@ type retryHintError struct {
 func (e *retryHintError) Error() string { return e.err.Error() }
 func (e *retryHintError) Unwrap() error { return e.err }
 
-// retryHint wraps err with a Retry-After hint clamped to the same
-// [1s, 60s] window the drain-time estimate uses.
+// retryHint wraps err with a Retry-After hint clamped to
+// [minRetryAfterSeconds, maxRetryAfterSeconds].
 func retryHint(err error, seconds int) error {
 	if seconds < minRetryAfterSeconds {
 		seconds = minRetryAfterSeconds
@@ -148,9 +156,10 @@ func retryHint(err error, seconds int) error {
 	return &retryHintError{err: err, seconds: seconds}
 }
 
-// RetryAfterHint extracts the shed-specific Retry-After seconds attached
-// to an admission error (infeasible-deadline and quota sheds carry one).
-// The HTTP layer prefers it over the generic queue-drain estimate.
+// RetryAfterHint extracts the Retry-After seconds attached to an admission
+// shed. Every shed Do returns with HTTP status 429 carries one: queue-full
+// and infeasible-deadline sheds derive it from the predicted backlog,
+// quota sheds from the client's refill rate.
 func RetryAfterHint(err error) (int, bool) {
 	var rh *retryHintError
 	if errors.As(err, &rh) {

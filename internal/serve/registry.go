@@ -92,7 +92,7 @@ func runBFS(ctx context.Context, g *Graph, req Request, w *worker) (Payload, err
 }
 
 func runParentBFS(ctx context.Context, g *Graph, req Request, w *worker) (Payload, error) {
-	parents, err := algorithms.ParentBFSRun(g.Mat, req.Source, algorithms.ParentBFSOptions{
+	parents, err := algorithms.ParentBFS(g.Mat, req.Source, algorithms.ParentBFSOptions{
 		Model:     w.model,
 		Workspace: w.workspace(g.Mat.NRows(), g.Mat.NCols()),
 		Context:   ctx,
@@ -172,7 +172,7 @@ func runPageRank(ctx context.Context, g *Graph, req Request, w *worker) (Payload
 }
 
 func runCC(ctx context.Context, g *Graph, req Request, w *worker) (Payload, error) {
-	labels, err := algorithms.ConnectedComponentsRun(g.Mat, algorithms.CCOptions{
+	labels, err := algorithms.ConnectedComponents(g.Mat, algorithms.CCOptions{
 		Workspace: w.workspace(g.Mat.NRows(), g.Mat.NCols()),
 		Context:   ctx,
 	})

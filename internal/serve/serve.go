@@ -38,7 +38,8 @@
 // predicted backlog plus the query's own predicted run time already
 // exceed its deadline, and ErrQuotaExceeded when the client's token-bucket
 // rate or in-flight cap is spent. All three map to 429 with an honest
-// Retry-After (prediction- or refill-derived where available). Admitted
+// Retry-After (prediction-derived for the first two, refill-derived for
+// quota). Admitted
 // queries wait in a class-aware earliest-deadline-first scheduler —
 // interactive before batch, batch guaranteed one claim per aging bound —
 // and a query whose context dies while queued is shed at claim time
@@ -71,7 +72,8 @@ import (
 // maps both families to transport codes.
 var (
 	// ErrQueueFull reports that the admission queue rejected the query —
-	// shed load and retry later (HTTP 429).
+	// shed load and retry later (HTTP 429 with a prediction-derived
+	// Retry-After).
 	ErrQueueFull = errors.New("serve: admission queue full")
 	// ErrInfeasibleDeadline reports that the query was shed at admission
 	// because the predicted queue drain plus its own predicted run time
